@@ -56,6 +56,15 @@ let pp_tier_summary label (tiers : (string * Galley_plan.Tier.t) list) =
                    degraded)
             ^ "]")
 
+(* One line per run: where its wall time went, layer by layer. *)
+let print_layers (t : Galley.Driver.timings) =
+  let open Galley.Driver in
+  Format.printf
+    "layers: stats=%.4fs logical=%.4fs physical=%.4fs compile=%.4fs \
+     execute=%.4fs total=%.4fs@."
+    t.stats_seconds t.logical_seconds t.physical_seconds t.compile_seconds
+    t.execute_seconds t.total_seconds
+
 let print_result ~show_plans ~timings (res : Galley.Driver.result) =
   if show_plans then begin
     Format.printf "== logical plan ==@.";
@@ -73,11 +82,12 @@ let print_result ~show_plans ~timings (res : Galley.Driver.result) =
   if timings then begin
     let t = res.Galley.Driver.timings in
     Format.printf
-      "timings: logical=%.4fs physical=%.4fs compile=%.4fs (%d kernels \
-       compiled) execute=%.4fs cse_hits=%d@."
-      t.Galley.Driver.logical_seconds t.Galley.Driver.physical_seconds
-      t.Galley.Driver.compile_seconds t.Galley.Driver.compile_count
-      t.Galley.Driver.execute_seconds t.Galley.Driver.cse_hits;
+      "timings: stats=%.4fs logical=%.4fs physical=%.4fs compile=%.4fs (%d \
+       kernels compiled) execute=%.4fs cse_hits=%d@."
+      t.Galley.Driver.stats_seconds t.Galley.Driver.logical_seconds
+      t.Galley.Driver.physical_seconds t.Galley.Driver.compile_seconds
+      t.Galley.Driver.compile_count t.Galley.Driver.execute_seconds
+      t.Galley.Driver.cse_hits;
     pp_tier_summary "logical" res.Galley.Driver.logical_tiers;
     pp_tier_summary "physical" res.Galley.Driver.physical_tiers;
     if res.Galley.Driver.nnz_guard_retries > 0 then
@@ -432,6 +442,7 @@ let explain_cmd program_file inputs randoms outputs greedy uniform no_jit
               Galley_obs.Profile.build (Galley_obs.Trace.drain ())
             in
             print_search_trace evs;
+            print_layers res.Galley.Driver.timings;
             print_operator_analysis
               ~estimator:(Galley_stats.Ctx.kind_to_string config.estimator)
               res.Galley.Driver.audit evs forest
@@ -601,7 +612,11 @@ let profile_cmd program_file inputs randoms outputs greedy uniform no_jit
       in
       let forest = Galley_obs.Profile.build (Galley_obs.Trace.drain ()) in
       print_profile_report forest collapsed_out;
-      match result with Ok _ -> 0 | Error e -> report_error e)
+      match result with
+      | Ok r ->
+          print_layers r.Galley.Driver.timings;
+          0
+      | Error e -> report_error e)
 
 (* serve: run the daemon on a Unix socket until SIGTERM/SIGINT (or a
    client "shutdown" request), then drain and exit clean.  Preloaded

@@ -93,6 +93,7 @@ let greedy_config =
   }
 
 type timings = {
+  stats_seconds : float;
   logical_seconds : float;
   physical_seconds : float;
   compile_seconds : float;
@@ -246,12 +247,20 @@ let audit_observe (a : Obs.Audit.t) (exec : Galley_engine.Exec.t)
       | None -> ())
     logical_plan
 
-let make_ctx (config : config) (inputs : (string * T.t) list) : Ctx.t =
-  let schema = Schema.create () in
-  List.iter (fun (name, t) -> Schema.declare_tensor schema name t) inputs;
-  let ctx = Ctx.create ~kind:config.estimator schema in
-  List.iter (fun (name, t) -> ctx.Ctx.register_input name t) inputs;
-  Faults.wrap_ctx config.faults ctx
+(* The statistics context for [inputs], and the seconds building it took. *)
+let make_ctx (config : config) (inputs : (string * T.t) list) : Ctx.t * float =
+  let t0 = now () in
+  let ctx =
+    Obs.span ~cat:"phase" ~name:"stats.input"
+      ~attrs:(fun () -> [ ("inputs", string_of_int (List.length inputs)) ])
+      (fun () ->
+        let schema = Schema.create () in
+        List.iter (fun (name, t) -> Schema.declare_tensor schema name t) inputs;
+        let ctx = Ctx.create ~kind:config.estimator schema in
+        List.iter (fun (name, t) -> ctx.Ctx.register_input name t) inputs;
+        ctx)
+  in
+  (Faults.wrap_ctx config.faults ctx, now () -. t0)
 
 let opt_budget (config : config) : float =
   match config.optimizer_timeout with Some s -> s | None -> 0.0
@@ -545,8 +554,9 @@ let execute_queries ~(config : config) ~(ctx : Ctx.t)
 (* Physical optimization + execution of an already-logical plan. *)
 let execute_logical ~(config : config) ~(ctx : Ctx.t)
     ~(inputs : (string * T.t) list) ~(logical_plan : Logical_query.t list)
-    ~(outputs : string list) ~(logical_seconds : float)
-    ~(logical_tiers : (string * Tier.t) list) : result =
+    ~(outputs : string list) ~(stats_seconds : float)
+    ~(logical_seconds : float) ~(logical_tiers : (string * Tier.t) list) :
+    result =
   validate_logical ~config
     ~known:(fun n -> List.mem_assoc n inputs)
     ~outputs logical_plan;
@@ -590,12 +600,13 @@ let execute_logical ~(config : config) ~(ctx : Ctx.t)
     physical_tiers;
     timings =
       {
+        stats_seconds;
         logical_seconds;
         physical_seconds;
         compile_seconds = timings.Galley_engine.Exec.compile_time;
         execute_seconds = timings.Galley_engine.Exec.exec_time;
         total_seconds =
-          logical_seconds +. physical_seconds
+          stats_seconds +. logical_seconds +. physical_seconds
           +. timings.Galley_engine.Exec.compile_time
           +. timings.Galley_engine.Exec.exec_time;
         compile_count = timings.Galley_engine.Exec.compile_count;
@@ -610,7 +621,7 @@ let execute_logical ~(config : config) ~(ctx : Ctx.t)
 let run ?(config = default_config) ~(inputs : (string * T.t) list)
     (program : Ir.program) : result =
   let program = resolve_names program in
-  let ctx = make_ctx config inputs in
+  let ctx, stats_seconds = make_ctx config inputs in
   cur_phase := Errors.Logical;
   cur_query := None;
   let t0 = now () in
@@ -633,7 +644,7 @@ let run ?(config = default_config) ~(inputs : (string * T.t) list)
   in
   let logical_seconds = now () -. t0 in
   execute_logical ~config ~ctx ~inputs ~logical_plan
-    ~outputs:program.Ir.outputs ~logical_seconds ~logical_tiers
+    ~outputs:program.Ir.outputs ~stats_seconds ~logical_seconds ~logical_tiers
 
 (* Run a hand-written logical plan directly, bypassing the logical
    optimizer: this is how the "hand-coded kernel" baselines of the
@@ -641,10 +652,10 @@ let run ?(config = default_config) ~(inputs : (string * T.t) list)
 let run_logical_plan ?(config = default_config)
     ~(inputs : (string * T.t) list) ~(outputs : string list)
     (logical_plan : Logical_query.t list) : result =
-  let ctx = make_ctx config inputs in
+  let ctx, stats_seconds = make_ctx config inputs in
   (* Register every query's output so estimation can see the aliases. *)
   List.iter (register_query_estimated ctx) logical_plan;
-  execute_logical ~config ~ctx ~inputs ~logical_plan ~outputs
+  execute_logical ~config ~ctx ~inputs ~logical_plan ~outputs ~stats_seconds
     ~logical_seconds:0.0 ~logical_tiers:[]
 
 (* Convenience wrapper for single-query programs. *)
@@ -731,8 +742,11 @@ module Session = struct
   (* Bind or rebind an input tensor; statistics are (re)computed here, not
      per run. *)
   let bind (s : session) (name : string) (tensor : T.t) : unit =
-    Schema.declare_tensor s.s_ctx.Ctx.schema name tensor;
-    s.s_ctx.Ctx.register_input name tensor;
+    Obs.span ~cat:"phase" ~name:"stats.input"
+      ~attrs:(fun () -> [ ("inputs", "1") ])
+      (fun () ->
+        Schema.declare_tensor s.s_ctx.Ctx.schema name tensor;
+        s.s_ctx.Ctx.register_input name tensor);
     Galley_engine.Exec.bind s.s_exec name tensor;
     Hashtbl.remove s.s_defined name;
     s.s_inputs <- (name, tensor) :: List.remove_assoc name s.s_inputs
@@ -806,6 +820,7 @@ module Session = struct
       physical_tiers;
       timings =
         {
+          stats_seconds = 0.0;
           logical_seconds;
           physical_seconds;
           compile_seconds = t_after.Galley_engine.Exec.compile_time -. compile0;

@@ -71,11 +71,14 @@ val default_config : config
 val greedy_config : config
 
 type timings = {
+  stats_seconds : float;
+      (** building the input statistics ([stats.input] span); 0 on
+          session runs, whose statistics are built when inputs are bound *)
   logical_seconds : float;
   physical_seconds : float;
   compile_seconds : float;  (** kernel-cache misses only *)
   execute_seconds : float;
-  total_seconds : float;
+  total_seconds : float;  (** the sum of the five layers above *)
   compile_count : int;
   kernel_count : int;
   cse_hits : int;

@@ -402,7 +402,8 @@ let merge_results ~(outputs : (string * Ir.idx list * T.t) list)
   let sumi f = List.fold_left (fun a r -> a + f r) 0 all in
   let timings =
     {
-      D.logical_seconds = sumf (fun r -> r.D.timings.D.logical_seconds);
+      D.stats_seconds = sumf (fun r -> r.D.timings.D.stats_seconds);
+      logical_seconds = sumf (fun r -> r.D.timings.D.logical_seconds);
       physical_seconds = sumf (fun r -> r.D.timings.D.physical_seconds);
       compile_seconds = sumf (fun r -> r.D.timings.D.compile_seconds);
       execute_seconds = sumf (fun r -> r.D.timings.D.execute_seconds);

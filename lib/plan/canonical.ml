@@ -163,48 +163,82 @@ let canonicalize (schema : Schema.t) (e : Ir.expr) : Ir.expr =
    occurrence order of a canonical traversal, and the children of
    commutative operators are sorted by their canonical strings.  Two
    expressions with equal keys denote the same tensor (given equal input
-   bindings), up to index naming. *)
+   bindings), up to index naming.  Written in one pass into a buffer;
+   only the children of a commutative operator get strings of their own,
+   the naming-independent keys they are sorted by. *)
 let canonical_key ?(resolve_alias = fun (n : string) -> n) (e : Ir.expr) :
     string =
-  let rec key (env : (Ir.idx, int) Hashtbl.t) (next : int ref) (e : Ir.expr) :
-      string =
-    let idx_key i =
-      match Hashtbl.find_opt env i with
-      | Some k -> Printf.sprintf "$%d" k
-      | None ->
-          let k = !next in
-          incr next;
-          Hashtbl.add env i k;
-          Printf.sprintf "$%d" k
+  let rec add_int b k =
+    if k >= 10 then add_int b (k / 10);
+    Buffer.add_char b (Char.chr (48 + (k mod 10)))
+  in
+  (* [env]: indices numbered so far, with their numbers *)
+  let rec emit (b : Buffer.t) (env : (Ir.idx * int) list ref) (e : Ir.expr) :
+      unit =
+    let idx i =
+      let k =
+        match List.assoc_opt i !env with
+        | Some k -> k
+        | None ->
+            let k = List.length !env in
+            env := (i, k) :: !env;
+            k
+      in
+      Buffer.add_char b '$';
+      add_int b k
+    in
+    let idx_list idxs =
+      List.iteri
+        (fun n i ->
+          if n > 0 then Buffer.add_char b ',';
+          idx i)
+        idxs
     in
     match e with
     | Ir.Input (n, idxs) ->
-        Printf.sprintf "I:%s[%s]" n (String.concat "," (List.map idx_key idxs))
+        Buffer.add_string b "I:";
+        Buffer.add_string b n;
+        Buffer.add_char b '[';
+        idx_list idxs;
+        Buffer.add_char b ']'
     | Ir.Alias (n, idxs) ->
-        Printf.sprintf "A:{%s}[%s]" (resolve_alias n)
-          (String.concat "," (List.map idx_key idxs))
-    | Ir.Literal v -> Printf.sprintf "L:%h" v
+        Buffer.add_string b "A:{";
+        Buffer.add_string b (resolve_alias n);
+        Buffer.add_string b "}[";
+        idx_list idxs;
+        Buffer.add_char b ']'
+    | Ir.Literal v -> Buffer.add_string b (Printf.sprintf "L:%h" v)
     | Ir.Map (op, args) ->
-        let keys =
+        let args =
           if Op.is_commutative op then
             (* Sort by a naming-independent preliminary key so the final
                index numbering does not depend on the original order. *)
-            let pre =
-              List.map
-                (fun a ->
-                  let k = key (Hashtbl.create 8) (ref 0) a in
-                  (k, a))
-                args
-            in
-            let sorted = List.sort (fun (k1, _) (k2, _) -> compare k1 k2) pre in
-            List.map (fun (_, a) -> key env next a) sorted
-          else List.map (key env next) args
+            List.map snd
+              (List.stable_sort
+                 (fun (k1, _) (k2, _) -> String.compare k1 k2)
+                 (List.map (fun a -> (key a, a)) args))
+          else args
         in
-        Printf.sprintf "M:%s(%s)" (Op.to_string op) (String.concat ";" keys)
+        Buffer.add_string b "M:";
+        Buffer.add_string b (Op.to_string op);
+        Buffer.add_char b '(';
+        List.iteri
+          (fun n a ->
+            if n > 0 then Buffer.add_char b ';';
+            emit b env a)
+          args;
+        Buffer.add_char b ')'
     | Ir.Agg (op, idxs, body) ->
-        let bound = List.map idx_key idxs in
-        Printf.sprintf "G:%s[%s](%s)" (Op.to_string op)
-          (String.concat "," bound)
-          (key env next body)
+        Buffer.add_string b "G:";
+        Buffer.add_string b (Op.to_string op);
+        Buffer.add_char b '[';
+        idx_list idxs;
+        Buffer.add_string b "](";
+        emit b env body;
+        Buffer.add_char b ')'
+  and key (e : Ir.expr) : string =
+    let b = Buffer.create 64 in
+    emit b (ref []) e;
+    Buffer.contents b
   in
-  key (Hashtbl.create 16) (ref 0) e
+  key e

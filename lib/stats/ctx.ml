@@ -33,7 +33,23 @@ type t = {
 }
 
 (* Canonical positional index names used for cached per-tensor stats. *)
-let canon_idx k = Printf.sprintf "%%%d" k
+let canon_names = Array.init 16 (Printf.sprintf "%%%d")
+
+let canon_idx k =
+  if k < Array.length canon_names then canon_names.(k)
+  else Printf.sprintf "%%%d" k
+
+(* k for a canonical name "%k", else -1. *)
+let canon_pos (i : string) : int =
+  let n = String.length i in
+  let rec digits p acc =
+    if p = n then acc
+    else
+      match i.[p] with
+      | '0' .. '9' as c -> digits (p + 1) ((acc * 10) + Char.code c - 48)
+      | _ -> -1
+  in
+  if n >= 2 && i.[0] = '%' && (n = 2 || i.[1] <> '0') then digits 1 0 else -1
 
 (* Estimator traffic, per context kind, for the metrics report.  Memo
    hits count too — the counters measure how hard the optimizers lean on
@@ -51,13 +67,20 @@ module Build (E : Estimator_sig.S) = struct
     cache : (string, E.t) Hashtbl.t; (* canonical positional names *)
     memo : (string, float) Hashtbl.t;
         (* estimates per resolved canonical key: alias names are replaced by
-           their definitions' keys, so semantically identical sub-queries
-           reached along different search branches share entries.  Cleared
-           only when an existing name is re-registered (JIT refresh). *)
-    def_keys : (string, string) Hashtbl.t; (* alias -> defining key *)
+           the ids of their definitions' keys, so semantically identical
+           sub-queries reached along different search branches share
+           entries.  Cleared only when an existing name is re-registered
+           (JIT refresh, rebind). *)
+    def_keys : (string, string) Hashtbl.t; (* alias -> definition id *)
+    def_ids : (string, string) Hashtbl.t;
+        (* resolved definition key -> short id ("=" and a number, which no
+           tensor name can be): keys embed the id, not the expanded
+           definition.  Shared across clones; never cleared, so an id
+           never changes meaning. *)
     stats_memo : (string, E.t) Hashtbl.t;
-        (* inferred alias statistics per (resolved key | output order):
-           branch-independent, shared across clones like [memo] *)
+        (* inferred alias statistics per (definition id | output order):
+           branch-independent, shared across clones like [memo], and
+           cleared with it *)
   }
 
   let resolved_key (st : state) (e : Ir.expr) : string =
@@ -66,16 +89,28 @@ module Build (E : Estimator_sig.S) = struct
         match Hashtbl.find_opt st.def_keys n with Some k -> k | None -> n)
       e
 
+  let intern (st : state) (key : string) : string =
+    match Hashtbl.find_opt st.def_ids key with
+    | Some id -> id
+    | None ->
+        let id = "=" ^ string_of_int (Hashtbl.length st.def_ids) in
+        Hashtbl.add st.def_ids key id;
+        id
+
+  (* A re-registered name makes every cached estimate and every inferred
+     alias statistic that may have read it stale. *)
+  let invalidate (st : state) : unit =
+    Hashtbl.reset st.memo;
+    Hashtbl.reset st.stats_memo
+
   let lookup (st : state) (name : string) (access_idxs : Ir.idx list) : E.t =
     match Hashtbl.find_opt st.cache name with
     | None -> invalid_arg ("Stats.Ctx: no statistics registered for " ^ name)
     | Some stats ->
-        let subst = Hashtbl.create 8 in
-        List.iteri
-          (fun k i -> Hashtbl.replace subst (canon_idx k) i)
-          access_idxs;
+        let access = Array.of_list access_idxs in
         E.rename stats (fun i ->
-            match Hashtbl.find_opt subst i with Some j -> j | None -> i)
+            let k = canon_pos i in
+            if k >= 0 && k < Array.length access then access.(k) else i)
 
   (* Annotate an expression, returning its statistics and its fill value. *)
   let rec annotate (st : state) (dims : int Ir.Idx_map.t) (e : Ir.expr) :
@@ -109,8 +144,8 @@ module Build (E : Estimator_sig.S) = struct
       let nd = Array.length (Galley_tensor.Tensor.dims tensor) in
       let idxs = List.init nd canon_idx in
       if Hashtbl.mem st.cache name then begin
-        (* Re-registration (JIT refresh): cached estimates may be stale. *)
-        Hashtbl.reset st.memo;
+        (* Re-registration (JIT refresh, rebind). *)
+        invalidate st;
         Hashtbl.remove st.def_keys name
       end;
       Hashtbl.replace st.cache name (E.of_tensor ?cheap tensor ~idxs)
@@ -122,7 +157,7 @@ module Build (E : Estimator_sig.S) = struct
       register_input = register_tensor ~cheap:false;
       register_alias_estimated =
         (fun name ~output_idxs e ->
-          let def_key = resolved_key st e in
+          let def_key = intern st (resolved_key st e) in
           let stats_key = def_key ^ "|" ^ String.concat "," output_idxs in
           let stats =
             match Hashtbl.find_opt st.stats_memo stats_key with
@@ -145,7 +180,7 @@ module Build (E : Estimator_sig.S) = struct
                 Hashtbl.replace st.stats_memo stats_key stats;
                 stats
           in
-          if Hashtbl.mem st.cache name then Hashtbl.reset st.memo;
+          if Hashtbl.mem st.cache name then invalidate st;
           Hashtbl.replace st.def_keys name def_key;
           Hashtbl.replace st.cache name stats);
       register_alias_tensor = register_tensor ~cheap:true;
@@ -193,6 +228,7 @@ module Build (E : Estimator_sig.S) = struct
               cache = Hashtbl.copy st.cache;
               memo = st.memo; (* shared: resolved keys are branch-independent *)
               def_keys = Hashtbl.copy st.def_keys;
+              def_ids = st.def_ids;
               stats_memo = st.stats_memo;
             }
             kind);
@@ -205,6 +241,7 @@ module Build (E : Estimator_sig.S) = struct
         cache = Hashtbl.create 32;
         memo = Hashtbl.create 1024;
         def_keys = Hashtbl.create 64;
+        def_ids = Hashtbl.create 64;
         stats_memo = Hashtbl.create 256;
       }
       kind
